@@ -351,31 +351,94 @@ func (s *Suite) Run(w *workload.Workload, v Variant, m cpu.Machine) (metrics.Cou
 }
 
 // RunCtx is Run under a request context: when ctx carries an obs
-// trace, the cell's work is attributed to its stages — "sim" for
-// direct simulation, "record" when this call records the dispatch
-// trace, "trace_load" when it loads one from the cache, and the
-// replay's "decode"/"apply" split. Coalesced concurrent callers share
-// one computation, whose stages land on the trace of the caller that
-// ran it. Results are identical to Run.
+// trace, the cell's work is attributed to its stages (see
+// RunMachines). Coalesced concurrent callers share one computation,
+// whose stages land on the trace of the caller that ran it. Results
+// are identical to Run.
 func (s *Suite) RunCtx(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
 	key := resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: s.scale(w)}
-	return s.results.Do(key,
-		func() (metrics.Counters, error) { return s.runUncached(ctx, w, v, m) })
+	return s.results.Do(key, func() (metrics.Counters, error) {
+		cs, _, err := s.RunMachines(ctx, w, v, []cpu.Machine{m})
+		if err != nil {
+			return metrics.Counters{}, err
+		}
+		return cs[0], nil
+	})
 }
 
-func (s *Suite) runUncached(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (metrics.Counters, error) {
+// RunMachines computes one (benchmark, variant) pair on each machine,
+// in order, without consulting or filling the suite's result memo —
+// the path for callers that keep their own counter cache (a server's
+// LRU). Machines should be distinct.
+//
+// With a trace cache attached, the dispatch trace is loaded, or
+// recorded on machines[0] (the recording run is a direct simulation,
+// so its counters are that machine's result); the remaining machines
+// replay it. One replaying machine replays sequentially on the
+// calling goroutine; several share one pipelined decode pass
+// (disptrace.ReplayEach). fromArena reports whether the replay was
+// served from a compiled arena. Without a trace cache each machine is
+// a direct simulation, several of them spread over the suite's pool.
+//
+// When ctx carries an obs trace the work is attributed to its stages:
+// "sim" for direct simulation, "record" or "trace_load" for the
+// get-or-record call, and the replay's own stages.
+func (s *Suite) RunMachines(ctx context.Context, w *workload.Workload, v Variant, machines []cpu.Machine) (cs []metrics.Counters, fromArena bool, err error) {
 	if s.Traces == nil {
-		sp := obs.Start(ctx, "sim")
-		c, err := s.simulate(w, v, m, nil)
-		sp.End()
-		return c, err
+		sim := func(ctx context.Context, i int) (metrics.Counters, error) {
+			sp := obs.Start(ctx, "sim")
+			defer sp.End()
+			return s.simulate(w, v, machines[i], nil)
+		}
+		if len(machines) == 1 {
+			c, err := sim(ctx, 0)
+			return []metrics.Counters{c}, false, err
+		}
+		cs, err = runner.Map(ctx, len(machines), runner.Options{Jobs: s.Jobs}, sim)
+		return cs, false, err
 	}
-	// The recording run is itself a direct simulation on m, so when
-	// this cell is the one that records, its counters are used as-is
-	// (replaying its own trace would reproduce them byte for byte).
-	var recorded *metrics.Counters
+	tr, recorded, err := s.traceFor(ctx, w, v, machines[0])
+	if err != nil {
+		return nil, false, err
+	}
+	cs = make([]metrics.Counters, len(machines))
+	off := 0 // machines[:off] are done: the recording machine
+	if recorded != nil {
+		cs[0] = *recorded
+		off = 1
+	}
+	sims := make([]*cpu.Sim, len(machines)-off)
+	for i := range sims {
+		sims[i] = cpu.NewSim(machines[off+i])
+	}
+	switch len(sims) {
+	case 0:
+		return cs, false, nil
+	case 1:
+		// jobs=1: a single cell usually runs inside a worker pool that
+		// already saturates the cores; sequential replay keeps its
+		// buffer reuse instead of nesting decode goroutines.
+		err = disptrace.ReplayCtx(ctx, tr, sims[0], 1)
+	default:
+		err = disptrace.ReplayEachCtx(ctx, tr, sims)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
+	}
+	for i, sim := range sims {
+		cs[off+i] = sim.C
+	}
+	return cs, tr.Compiled() != nil, nil
+}
+
+// traceFor returns the dispatch trace of a (benchmark, variant) pair
+// from the trace cache, recording it on machine m on a miss (so
+// concurrent callers coalesce and the recording persists). recorded
+// is non-nil when this call made the recording: its counters are m's
+// direct-simulation result.
+func (s *Suite) traceFor(ctx context.Context, w *workload.Workload, v Variant, m cpu.Machine) (tr *disptrace.Trace, recorded *metrics.Counters, err error) {
 	sp := obs.Start(ctx, "trace_load")
-	tr, _, err := s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
+	tr, _, err = s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
 		tr, c, err := s.RecordTrace(w, v, m)
 		if err != nil {
 			return nil, err
@@ -390,20 +453,7 @@ func (s *Suite) runUncached(ctx context.Context, w *workload.Workload, v Variant
 	} else {
 		sp.End()
 	}
-	if err != nil {
-		return metrics.Counters{}, err
-	}
-	if recorded != nil {
-		return *recorded, nil
-	}
-	sim := cpu.NewSim(m)
-	// jobs=1: this runs inside the suite's worker pool, which already
-	// saturates the cores; sequential replay keeps its buffer reuse
-	// instead of nesting decode goroutines that have nowhere to run.
-	if err := disptrace.ReplayCtx(ctx, tr, sim, 1); err != nil {
-		return metrics.Counters{}, fmt.Errorf("%s/%s on %s: replaying trace: %w", w.Name, v.Name, m.Name, err)
-	}
-	return sim.C, nil
+	return tr, recorded, err
 }
 
 // simulate runs one cell by direct simulation, optionally recording
@@ -476,10 +526,7 @@ func (s *Suite) Trace(w *workload.Workload, v Variant, m cpu.Machine) (*disptrac
 		tr, _, err := s.RecordTrace(w, v, m)
 		return tr, err
 	}
-	tr, _, err := s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
-		tr, _, err := s.RecordTrace(w, v, m)
-		return tr, err
-	})
+	tr, _, err := s.traceFor(s.context(), w, v, m)
 	return tr, err
 }
 
@@ -570,9 +617,9 @@ func (s *Suite) runSpecsTraced(ctx context.Context, specs []RunSpec) ([]metrics.
 
 // runGroup computes the cells at idxs (all sharing one workload and
 // variant) from one trace: machines whose results are already cached
-// are taken from the cache, the rest are replayed together. Every
-// result is published into the suite's result cache so later Run
-// calls and Snapshot see it.
+// are taken from the cache, the rest go through one RunMachines call.
+// Every result is published into the suite's result cache so later
+// Run calls and Snapshot see it.
 func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]metrics.Counters, error) {
 	w, v := specs[idxs[0]].W, specs[idxs[0]].V
 	scale := s.scale(w)
@@ -591,50 +638,16 @@ func (s *Suite) runGroup(ctx context.Context, specs []RunSpec, idxs []int) ([]me
 	}
 
 	if len(need) > 0 {
-		// Record on the first needed machine, or load the trace; the
-		// recording run doubles as that machine's result.
-		var recorded *metrics.Counters
-		sp := obs.Start(ctx, "trace_load")
-		tr, _, err := s.Traces.GetOrRecord(s.TraceKey(w, v), func() (*disptrace.Trace, error) {
-			tr, c, err := s.RecordTrace(w, v, need[0])
-			if err != nil {
-				return nil, err
-			}
-			recorded = &c
-			return tr, nil
-		})
-		if recorded != nil {
-			sp.EndAs("record")
-		} else {
-			sp.End()
-		}
+		cs, _, err := s.RunMachines(ctx, w, v, need)
 		if err != nil {
 			return nil, err
-		}
-		replay := need
-		computed := make(map[string]metrics.Counters, len(need))
-		if recorded != nil {
-			computed[need[0].Name] = *recorded
-			replay = need[1:]
-		}
-		if len(replay) > 0 {
-			sims := make([]*cpu.Sim, len(replay))
-			for k, m := range replay {
-				sims[k] = cpu.NewSim(m)
-			}
-			if err := disptrace.ReplayEachCtx(ctx, tr, sims); err != nil {
-				return nil, fmt.Errorf("%s/%s: replaying trace: %w", w.Name, v.Name, err)
-			}
-			for k, m := range replay {
-				computed[m.Name] = sims[k].C
-			}
 		}
 		// Publish into the result cache (keeps single-cell Run and
 		// Snapshot coherent; an identical concurrent result wins
 		// harmlessly).
-		for name, c := range computed {
-			key := resultKey{bench: w.Name, variant: v.Name, machine: name, scale: scale}
-			if _, err := s.results.Do(key, func() (metrics.Counters, error) { return c, nil }); err != nil {
+		for k, m := range need {
+			key := resultKey{bench: w.Name, variant: v.Name, machine: m.Name, scale: scale}
+			if _, err := s.results.Do(key, func() (metrics.Counters, error) { return cs[k], nil }); err != nil {
 				return nil, err
 			}
 		}
@@ -673,16 +686,11 @@ func (s *Suite) RunAll(ws []*workload.Workload, vs []Variant, m cpu.Machine) (ma
 	return out, err
 }
 
-// ResultCount reports how many run results the suite has memoized.
-func (s *Suite) ResultCount() int { return s.results.Len() }
-
 // DropResults clears the suite's memoized run results while keeping
-// the (expensive) training profiles. The in-suite result cache never
-// evicts — right for a finite experiment grid, wrong for a
-// long-running server whose query space is open-ended; a server
-// bounds the suite by dropping results once they exceed its budget,
-// relying on its own LRU and the disk trace cache to keep hot cells
-// cheap to recompute.
+// the (expensive) training profiles, so a grid can be rerun from
+// scratch without retraining. The memo never evicts — right for a
+// finite experiment grid; a long-running server bypasses it instead
+// (RunMachines) and keeps counters in its own bounded LRU.
 func (s *Suite) DropResults() { s.results.Reset() }
 
 // Snapshot returns every cached run as a structured result record,

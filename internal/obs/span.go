@@ -183,10 +183,10 @@ func (tr *Trace) add(name string, start time.Time, d time.Duration) {
 }
 
 // SetOutcome records how the request was served: OutcomeHit,
-// OutcomeCoalesced, OutcomeComputed or OutcomeError. Outcomes only
-// escalate (computed beats coalesced beats hit), so a request that
-// computed one group and hit the cache for another reports
-// "computed"; error outranks everything.
+// OutcomeCompiled, OutcomeCoalesced, OutcomeComputed, OutcomeError or
+// OutcomeTimeout. Outcomes only escalate, in that order, so a request
+// that computed one group and hit the cache for another reports
+// "computed"; timeout outranks everything.
 func (tr *Trace) SetOutcome(name string) {
 	if tr == nil {
 		return
@@ -207,25 +207,6 @@ func (tr *Trace) Outcome() string {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return outcomeNames[tr.outcome]
-}
-
-// StageDur reports the total duration attributed to a named stage so
-// far. The serving tier uses it to detect, after a replay, whether the
-// compiled fast path ran (the replay attributes a "compiled" stage)
-// without threading a flag through the replay API. Nil-safe.
-func (tr *Trace) StageDur(name string) time.Duration {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	var d time.Duration
-	for _, sp := range tr.spans {
-		if sp.Name == name {
-			d += sp.Dur
-		}
-	}
-	return d
 }
 
 // Finish seals the trace with the response status and total handler

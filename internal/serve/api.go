@@ -129,7 +129,7 @@ type TraceList struct {
 }
 
 // cell identifies one experiment cell at a resolved scale divisor —
-// the key of the in-memory result LRU and the single-run flight.
+// the key of the in-memory result LRU.
 type cell struct {
 	workload string
 	variant  string
@@ -145,32 +145,36 @@ type resolved struct {
 	m    cpu.Machine
 }
 
-// group is the unit of sweep execution and coalescing: every cell of
-// one (workload, variant, scalediv) that the request wants, in
-// request machine order. Grouped cells share one trace decode via
-// Suite.RunSpecs.
+// group is the unit of execution and coalescing: every cell of one
+// (workload, variant, scalediv) that the request wants, in request
+// machine order — a /v1/run is a group of one cell. Grouped cells
+// share one trace decode via Suite.RunMachines.
 type group struct {
 	key   string // canonical coalescing key, machines sorted
 	cells []resolved
 }
 
-// resolveCell validates a RunRequest against the registries.
-func resolveCell(req RunRequest, scaleDiv int) (resolved, error) {
+// resolveCell validates a RunRequest against the registries and
+// returns it as a group of one cell.
+func resolveCell(req RunRequest, scaleDiv int) (group, error) {
 	w, err := workload.ByName(req.Workload)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
 	v, err := harness.VariantByName(w, req.Variant)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
 	m, err := cpu.MachineByName(req.Machine)
 	if err != nil {
-		return resolved{}, err
+		return group{}, err
 	}
-	return resolved{
-		cell: cell{workload: w.Name, variant: v.Name, machine: m.Name, scaleDiv: scaleDiv},
-		w:    w, v: v, m: m,
+	return group{
+		key: groupKey(w.Name, v.Name, scaleDiv, []cpu.Machine{m}),
+		cells: []resolved{{
+			cell: cell{workload: w.Name, variant: v.Name, machine: m.Name, scaleDiv: scaleDiv},
+			w:    w, v: v, m: m,
+		}},
 	}, nil
 }
 
@@ -392,8 +396,8 @@ func DecodeSweepCursor(token, grid string, n int) ([]int, error) {
 }
 
 // groupKey canonicalizes a group for coalescing: identical concurrent
-// sweeps — and overlapping sweeps that share a whole group — land on
-// one computation regardless of machine order in the request.
+// runs or sweeps — and overlapping sweeps that share a whole group —
+// land on one computation regardless of machine order in the request.
 func groupKey(workload, variant string, scaleDiv int, machines []cpu.Machine) string {
 	names := make([]string, len(machines))
 	for i, m := range machines {

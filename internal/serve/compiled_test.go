@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/obs"
 )
@@ -14,10 +15,11 @@ import (
 // TestCompiledTierServing drives the compiled-replay tier end to end:
 // one workload/variant across three machines shares one cached trace,
 // so with CompileAfter=1 the second request's disk load builds the
-// arena and the third is served straight from it. Responses must stay
-// byte-identical to the direct harness result, the request outcome
-// must report "compiled", and the tier's activity must show up in both
-// /v1/stats and /metrics.
+// arena and the third is served straight from it, as is a sweep over
+// the group's remaining machines. Responses must stay byte-identical
+// to the direct harness result, both the run and the sweep must
+// report the "compiled" outcome, and the tier's activity must show up
+// in both /v1/stats and /metrics.
 func TestCompiledTierServing(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Traces:       disptrace.NewCache(t.TempDir()),
@@ -57,13 +59,45 @@ func TestCompiledTierServing(t *testing.T) {
 		}
 	}
 
+	// The sweep finds three machines in the LRU and replays the other
+	// two from the arena.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(
+		`{"workloads":["gray"],"variants":["plain"],"scalediv":400}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Request-ID", "compiled-sweep")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepBody := new(bytes.Buffer)
+	if _, err := sweepBody.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d: %s", resp.StatusCode, sweepBody)
+	}
+	runs, errLines, _ := parseSweep(t, sweepBody.Bytes())
+	if len(errLines) > 0 || len(runs) != len(cpu.Machines()) {
+		t.Fatalf("sweep: %d cells, errors %+v", len(runs), errLines)
+	}
+	for _, run := range runs {
+		b, _ := json.Marshal(run)
+		if want := directRun(t, "gray", "plain", run.Machine); !bytes.Equal(append(b, '\n'), want) {
+			t.Fatalf("sweep cell %s differs from direct harness result:\ngot  %s\nwant %s", run.Key(), b, want)
+		}
+	}
+
 	cs := s.cfg.Traces.CompiledStats()
 	if cs.Builds == 0 || cs.Hits == 0 || cs.Bytes <= 0 || cs.Arenas == 0 {
 		t.Fatalf("compiled tier saw no action: %+v", cs)
 	}
 
-	// The arena-served request reports the "compiled" outcome with a
-	// "compiled" stage in its trace.
+	// The arena-served run and sweep report the "compiled" outcome
+	// with a "compiled" stage in their traces.
 	debugBody, err := fetchOK(ts.URL + "/debug/requests")
 	if err != nil {
 		t.Fatal(err)
@@ -72,26 +106,28 @@ func TestCompiledTierServing(t *testing.T) {
 	if err := json.Unmarshal(debugBody, &dbg); err != nil {
 		t.Fatal(err)
 	}
-	var last *obs.TraceSnapshot
-	for i := range dbg.Recent {
-		if dbg.Recent[i].ID == "compiled-pentium-m" {
-			last = &dbg.Recent[i]
+	for _, id := range []string{"compiled-pentium-m", "compiled-sweep"} {
+		var last *obs.TraceSnapshot
+		for i := range dbg.Recent {
+			if dbg.Recent[i].ID == id {
+				last = &dbg.Recent[i]
+			}
 		}
-	}
-	if last == nil {
-		t.Fatal("compiled-pentium-m trace not in /debug/requests")
-	}
-	if last.Outcome != "compiled" {
-		t.Errorf("arena-served request outcome = %q, want compiled", last.Outcome)
-	}
-	found := false
-	for _, st := range last.Stages {
-		if st.Name == "compiled" {
-			found = true
+		if last == nil {
+			t.Fatalf("%s trace not in /debug/requests", id)
 		}
-	}
-	if !found {
-		t.Errorf("arena-served request has no compiled stage: %+v", last.Stages)
+		if last.Outcome != "compiled" {
+			t.Errorf("arena-served %s outcome = %q, want compiled", id, last.Outcome)
+		}
+		found := false
+		for _, st := range last.Stages {
+			if st.Name == "compiled" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("arena-served %s has no compiled stage: %+v", id, last.Stages)
+		}
 	}
 
 	// /v1/stats carries the tier block under traces.compiled.

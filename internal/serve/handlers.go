@@ -205,7 +205,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if scaleDiv <= 0 {
 		scaleDiv = s.cfg.defaultScaleDiv()
 	}
-	rc, err := resolveCell(req, scaleDiv)
+	g, err := resolveCell(req, scaleDiv)
 	sp.End()
 	if err != nil {
 		s.stats.errors.Add(1)
@@ -222,12 +222,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancelD := deadlineCtx(ctx, s.cfg.RunDeadline)
 	defer cancelD()
 
-	c, err := s.runCell(ctx, rc)
+	res, err := s.runGroup(ctx, g, s.stats.coalescedRuns, nil)
 	if err != nil {
 		s.failRequest(w, ctx, err, s.cfg.RunDeadline)
 		return
 	}
-	run := runner.NewRun(rc.cell.workload, rc.cell.variant, rc.cell.machine, s.scaleOf(rc), c)
+	rc := g.cells[0]
+	run := runner.NewRun(rc.cell.workload, rc.cell.variant, rc.cell.machine, s.scaleOf(rc), res[rc.cell.machine])
 	writeJSON(w, ctx, run)
 }
 
@@ -314,7 +315,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One pool job per group: groups stream out as they complete
-	// while Suite.RunSpecs shares each group's trace decode
+	// while Suite.RunMachines shares each group's trace decode
 	// internally. Failures are per-group — every cell of a failed
 	// group reports the error, and failed groups stay out of the
 	// cursor so a resume retries them — and never abort the remaining
@@ -350,7 +351,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		func(ctx context.Context, ti int) (struct{}, error) {
 			processed[ti] = true
 			g := groups[todo[ti]]
-			res, err := s.runGroup(ctx, g)
+			res, err := s.runGroup(ctx, g, s.stats.coalescedGroups, s.stats.computedGroups)
 			if err != nil {
 				failGroup(g, err)
 				return struct{}{}, nil

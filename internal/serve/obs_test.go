@@ -120,7 +120,6 @@ func TestMetricsMatchStats(t *testing.T) {
 		`vmserved_computed_total{kind="cells"}`:      st.Computed.Cells,
 		`vmserved_computed_total{kind="groups"}`:     st.Computed.Groups,
 		`vmserved_computed_total{kind="diffs"}`:      st.Computed.Diffs,
-		`vmserved_suite_results_dropped_total`:       st.Suites.ResultsDropped,
 		`vmserved_suites_live`:                       uint64(st.Suites.Live),
 		`vmserved_in_flight`:                         0,
 	}

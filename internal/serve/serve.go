@@ -13,23 +13,24 @@
 //	GET  /v1/stats      cache hit rates, coalescing, latency percentiles
 //	GET  /healthz       liveness
 //
-// Three tiers keep a hot serving path off the simulator entirely:
+// A request for cells walks one ladder; a /v1/run is a group of one
+// cell, a sweep is a list of (workload, variant) groups:
 //
 //  1. A bounded in-memory LRU (runner.LRU) of finished
-//     metrics.Counters, keyed by cell. Hits cost a map lookup.
-//  2. The harness suites' own caches — memoized results and trained
-//     static instruction sets — shared across requests and bounded by
-//     periodic resets (harness.Suite.DropResults).
-//  3. The content-addressed on-disk dispatch-trace cache
-//     (disptrace.Cache): a cell whose (workload, variant, scale)
-//     stream was ever recorded replays it instead of re-running the
-//     guest VM, and grouped sweep cells share one decode pass via
-//     Suite.RunSpecs and disptrace.ReplayEach.
+//     metrics.Counters, keyed by cell — the only counter cache. Hits
+//     cost a map lookup.
+//  2. One runner.Flight keyed by the group: identical concurrent runs
+//     and sweep groups coalesce onto one computation of the cells the
+//     LRU does not hold, with every caller receiving byte-identical
+//     results (simulation is deterministic, so coalesced and direct
+//     results cannot differ).
+//  3. The content-addressed dispatch-trace cache (disptrace.Cache),
+//     reached through harness.Suite.RunMachines: a compiled arena,
+//     then disk, then a peer's cache, and only then a fresh recording.
+//     The group's machines share one trace load and one replay pass.
+//     The per-scalediv suites hold trained static instruction sets,
+//     not results.
 //
-// Identical concurrent requests are coalesced through runner.Flight:
-// a thundering herd asking for the same sweep costs one simulation,
-// with every caller receiving byte-identical results (simulation is
-// deterministic, so coalesced and direct results cannot differ).
 // Admission control returns 503 once the configured number of
 // requests is in flight, and each request's grid runs under that
 // request's context, so a dropped client stops consuming the worker
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vmopt/internal/cpu"
 	"vmopt/internal/disptrace"
 	"vmopt/internal/faults"
 	"vmopt/internal/harness"
@@ -77,14 +79,10 @@ type Config struct {
 	// means 1 (full scale).
 	DefaultScaleDiv int
 	// MaxSuites bounds how many per-scalediv suites stay live; <= 0
-	// means DefaultMaxSuites. Evicting a suite drops its memoized
-	// results and trained sets; the LRU and trace cache keep hot
-	// cells cheap.
+	// means DefaultMaxSuites. Evicting a suite drops its trained
+	// static instruction sets; the LRU and trace cache keep hot cells
+	// cheap.
 	MaxSuites int
-	// MaxSuiteResults bounds each suite's memoized result count;
-	// beyond it the suite's results are dropped (tier 2 reset). <= 0
-	// means DefaultMaxSuiteResults.
-	MaxSuiteResults int
 	// MaxSteps bounds each simulated run; 0 means the harness
 	// default.
 	MaxSteps uint64
@@ -128,11 +126,10 @@ type Config struct {
 
 // Defaults for Config fields left zero.
 const (
-	DefaultCacheSize       = 4096
-	DefaultMaxInFlight     = 64
-	DefaultMaxCells        = 4096
-	DefaultMaxSuites       = 4
-	DefaultMaxSuiteResults = 16384
+	DefaultCacheSize   = 4096
+	DefaultMaxInFlight = 64
+	DefaultMaxCells    = 4096
+	DefaultMaxSuites   = 4
 	// DefaultCompiledBudget is the arena tier's byte budget when the
 	// config leaves it zero: 256 MiB holds roughly six gray-scale
 	// full-size arenas (~32 B per logical event) — enough for a hot
@@ -175,13 +172,6 @@ func (c Config) maxSuites() int {
 	return DefaultMaxSuites
 }
 
-func (c Config) maxSuiteResults() int {
-	if c.MaxSuiteResults > 0 {
-		return c.MaxSuiteResults
-	}
-	return DefaultMaxSuiteResults
-}
-
 func (c Config) compiledBudget() int64 {
 	if c.CompiledBudget < 0 {
 		return 0
@@ -212,7 +202,8 @@ type Server struct {
 	// work never touches the semaphore.
 	computeSem chan struct{}
 
-	runFlight   runner.Flight[cell, metrics.Counters]
+	// groupFlight coalesces identical concurrent runs and sweep groups
+	// on the group key.
 	groupFlight runner.Flight[string, map[string]metrics.Counters]
 	// diffFlight coalesces identical concurrent /v1/diff requests on
 	// the marshaled response body, so duplicates are byte-identical by
@@ -345,14 +336,6 @@ func (s *Server) suiteFor(scaleDiv int) *harness.Suite {
 // suiteCount reports live suites for /v1/stats.
 func (s *Server) suiteCount() int { return s.suites.Len() }
 
-// boundSuite applies the tier-2 memory bound after a computation.
-func (s *Server) boundSuite(suite *harness.Suite) {
-	if suite.ResultCount() > s.cfg.maxSuiteResults() {
-		suite.DropResults()
-		s.stats.resultsDropped.Add(1)
-	}
-}
-
 // coalesce runs compute at most once per concurrently requested key.
 // Joins are cancellable (a dropped duplicate client releases its
 // handler immediately; the leader runs to completion for whoever is
@@ -372,110 +355,51 @@ func coalesce[K comparable, V any](ctx context.Context, f *runner.Flight[K, V], 
 	}
 }
 
-// runCell produces one cell's counters through the cache tiers:
-// LRU, coalesced flight, suite (which itself consults its result
-// cache and the disk trace cache).
-func (s *Server) runCell(ctx context.Context, rc resolved) (metrics.Counters, error) {
-	tr := obs.FromContext(ctx)
-	if c, ok := s.lru.Get(rc.cell); ok {
-		s.stats.lruHits.Add(1)
-		tr.SetOutcome(obs.OutcomeHit)
-		return c, nil
-	}
-	s.stats.lruMisses.Add(1)
-	flightStart := time.Now()
-	c, joined, err := coalesce(ctx, &s.runFlight, &s.stats, rc.cell, func() (metrics.Counters, error) {
-		// Re-check: a fresh leader may start after a previous leader
-		// published to the LRU but before this caller's outer lookup
-		// saw it. Counted as a hit so the hits+coalesced accounting
-		// covers every duplicate however the race lands.
-		if c, ok := s.lru.Get(rc.cell); ok {
-			s.stats.lruHits.Add(1)
-			tr.SetOutcome(obs.OutcomeHit)
-			return c, nil
-		}
-		s.cfg.Faults.Delay(faults.SiteCompute)
-		if err := s.cfg.Faults.Err(faults.SiteCompute); err != nil {
-			return metrics.Counters{}, err
-		}
-		sp := obs.Start(ctx, "queue")
-		release, err := s.acquireCompute(ctx)
-		sp.End()
-		if err != nil {
-			return metrics.Counters{}, err
-		}
-		defer release()
-		suite := s.suiteFor(rc.cell.scaleDiv)
-		compiledBefore := tr.StageDur("compiled")
-		c, err := suite.RunCtx(ctx, rc.w, rc.v, rc.m)
-		if err != nil {
-			return metrics.Counters{}, err
-		}
-		s.lru.Add(rc.cell, c)
-		s.stats.computedCells.Add(1)
-		// A run whose replay was served from the compiled arena tier
-		// (the replay attributes a "compiled" stage) reports that
-		// instead of "computed"; by rank, real computation anywhere in
-		// the request still wins.
-		if tr.StageDur("compiled") > compiledBefore {
-			tr.SetOutcome(obs.OutcomeCompiled)
-		} else {
-			tr.SetOutcome(obs.OutcomeComputed)
-		}
-		s.boundSuite(suite)
-		return c, nil
-	})
-	if joined && err == nil {
-		s.stats.coalescedRuns.Add(1)
-		// The joiner's wait on the leader is only knowable after the
-		// fact — attribute it now so its Server-Timing shows where the
-		// time went.
-		obs.Observe(ctx, "flight", time.Since(flightStart))
-		tr.SetOutcome(obs.OutcomeCoalesced)
-	}
-	return c, err
-}
-
-// runGroup produces every cell of one sweep group. Cells all resident
-// in the LRU are served from it; otherwise the whole group is
-// computed behind one coalesced flight, sharing a single trace decode
-// across its machines via Suite.RunSpecs.
-func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Counters, error) {
+// runGroup produces every cell of one group — a sweep group, or a
+// /v1/run as a group of one cell. Cells resident in the LRU are served
+// from it; the rest are computed behind one coalesced flight per group
+// key, sharing a single trace load and replay pass via
+// Suite.RunMachines. coalesced counts this caller joining another's
+// computation; computed, when non-nil, counts the groups it computed.
+func (s *Server) runGroup(ctx context.Context, g group, coalesced, computed *metrics.Counter) (map[string]metrics.Counters, error) {
 	tr := obs.FromContext(ctx)
 	out := make(map[string]metrics.Counters, len(g.cells))
-	hits := 0
 	for _, rc := range g.cells {
 		if c, ok := s.lru.Get(rc.cell); ok {
 			out[rc.cell.machine] = c
-			hits++
 		}
 	}
 	// Hit accounting is per lookup, not per group: a group with one
 	// evicted cell still credits its resident cells, so /v1/stats
 	// reflects how much of the traffic the LRU actually absorbed.
-	s.stats.lruHits.Add(uint64(hits))
-	s.stats.lruMisses.Add(uint64(len(g.cells) - hits))
-	if hits == len(g.cells) {
+	s.stats.lruHits.Add(uint64(len(out)))
+	s.stats.lruMisses.Add(uint64(len(g.cells) - len(out)))
+	if len(out) == len(g.cells) {
 		tr.SetOutcome(obs.OutcomeHit)
 		return out, nil
 	}
 
 	flightStart := time.Now()
 	res, joined, err := coalesce(ctx, &s.groupFlight, &s.stats, g.key, func() (map[string]metrics.Counters, error) {
-		// Re-check: a previous leader may have published every cell
-		// between this caller's scan and its flight entry; don't
-		// recompute (or recount) what the LRU already holds.
-		m := make(map[string]metrics.Counters, len(g.cells))
+		// Re-check the missed cells: a previous leader may have
+		// published them between the scan above and this flight.
+		// Counted as hits so hits+coalesced covers every duplicate
+		// however the race lands.
+		var need []resolved
 		for _, rc := range g.cells {
-			c, ok := s.lru.Get(rc.cell)
-			if !ok {
-				break
+			if _, ok := out[rc.cell.machine]; ok {
+				continue
 			}
-			m[rc.cell.machine] = c
+			if c, ok := s.lru.Get(rc.cell); ok {
+				out[rc.cell.machine] = c
+				s.stats.lruHits.Add(1)
+				continue
+			}
+			need = append(need, rc)
 		}
-		if len(m) == len(g.cells) {
+		if len(need) == 0 {
 			tr.SetOutcome(obs.OutcomeHit)
-			return m, nil
+			return out, nil
 		}
 		s.cfg.Faults.Delay(faults.SiteCompute)
 		if err := s.cfg.Faults.Err(faults.SiteCompute); err != nil {
@@ -488,38 +412,40 @@ func (s *Server) runGroup(ctx context.Context, g group) (map[string]metrics.Coun
 			return nil, err
 		}
 		defer release()
-		suite := s.suiteFor(g.cells[0].cell.scaleDiv)
-		specs := make([]harness.RunSpec, len(g.cells))
-		for i, rc := range g.cells {
-			specs[i] = harness.RunSpec{W: rc.w, V: rc.v, M: rc.m}
+		machines := make([]cpu.Machine, len(need))
+		for i, rc := range need {
+			machines[i] = rc.m
 		}
-		compiledBefore := tr.StageDur("compiled")
-		cs, err := suite.RunSpecsCtx(ctx, specs)
+		suite := s.suiteFor(need[0].cell.scaleDiv)
+		cs, fromArena, err := suite.RunMachines(ctx, need[0].w, need[0].v, machines)
 		if err != nil {
 			return nil, err
 		}
-		clear(m)
-		for i, rc := range g.cells {
-			m[rc.cell.machine] = cs[i]
+		for i, rc := range need {
+			out[rc.cell.machine] = cs[i]
 			s.lru.Add(rc.cell, cs[i])
 		}
-		s.stats.computedGroups.Add(1)
-		s.stats.computedCells.Add(uint64(len(g.cells)))
-		// As in runCell: an arena-served group replay reports
-		// "compiled"; any group that truly computed outranks it.
-		if tr.StageDur("compiled") > compiledBefore {
+		s.stats.computedCells.Add(uint64(len(need)))
+		if computed != nil {
+			computed.Add(1)
+		}
+		// A replay served from a compiled arena reports "compiled"; by
+		// rank, real computation anywhere in the request still wins.
+		if fromArena {
 			tr.SetOutcome(obs.OutcomeCompiled)
 		} else {
 			tr.SetOutcome(obs.OutcomeComputed)
 		}
-		s.boundSuite(suite)
-		return m, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	if joined {
-		s.stats.coalescedGroups.Add(1)
+		coalesced.Add(1)
+		// The joiner's wait on the leader is only knowable after the
+		// fact — attribute it now so its Server-Timing shows where the
+		// time went.
 		obs.Observe(ctx, "flight", time.Since(flightStart))
 		tr.SetOutcome(obs.OutcomeCoalesced)
 	}

@@ -295,6 +295,93 @@ func TestMixedDistinctRequests(t *testing.T) {
 	}
 }
 
+// TestRunAndSweepShareOnePath sends a run and an overlapping sweep of
+// the same (workload, variant) to a fresh server at once. Both go
+// through the one group path: every cell must be byte-identical to a
+// direct harness run, the shared trace must be recorded once, and a
+// later sweep must replay only the machines the LRU does not already
+// hold.
+func TestRunAndSweepShareOnePath(t *testing.T) {
+	cache := disptrace.NewCache(t.TempDir())
+	_, ts := newTestServer(t, Config{Traces: cache})
+	machines := cpu.Machines()
+
+	// checkCells asserts a sweep body holds every machine's cell of
+	// gray/variant, each byte-identical to directRun.
+	checkCells := func(variant string, body []byte) {
+		t.Helper()
+		runs, errLines, _ := parseSweep(t, body)
+		if len(errLines) > 0 || len(runs) != len(machines) {
+			t.Fatalf("%s sweep: %d cells, errors %+v; want %d cells", variant, len(runs), errLines, len(machines))
+		}
+		for _, run := range runs {
+			b, _ := json.Marshal(run)
+			if want := directRun(t, "gray", variant, run.Machine); !bytes.Equal(append(b, '\n'), want) {
+				t.Errorf("sweep cell %s differs from direct harness result:\ngot  %s\nwant %s", run.Key(), b, want)
+			}
+		}
+	}
+	computedCells := func() uint64 {
+		t.Helper()
+		body, err := fetchOK(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st StatsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Computed.Cells
+	}
+
+	run := RunRequest{Workload: "gray", Variant: "plain", Machine: machines[0].Name, ScaleDiv: testScaleDiv}
+	sweep := SweepRequest{Workloads: []string{"gray"}, Variants: []string{"plain"}, ScaleDiv: testScaleDiv}
+	var runBody, sweepBody []byte
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var status int
+		if status, runBody = post(t, ts.URL+"/v1/run", run); status != http.StatusOK {
+			t.Errorf("run: HTTP %d: %s", status, runBody)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var status int
+		if status, sweepBody = post(t, ts.URL+"/v1/sweep", sweep); status != http.StatusOK {
+			t.Errorf("sweep: HTTP %d: %s", status, sweepBody)
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if want := directRun(t, "gray", "plain", run.Machine); !bytes.Equal(runBody, want) {
+		t.Errorf("run differs from direct harness result:\ngot  %s\nwant %s", runBody, want)
+	}
+	checkCells("plain", sweepBody)
+	if got := cache.Stats().Records; got != 1 {
+		t.Errorf("trace cache recorded %d traces for one (workload, variant), want 1", got)
+	}
+
+	// A run first, then the sweep over its group: the sweep computes
+	// only the four cells the LRU lacks.
+	run.Variant, sweep.Variants = "dynamic super", []string{"dynamic super"}
+	if status, body := post(t, ts.URL+"/v1/run", run); status != http.StatusOK {
+		t.Fatalf("run: HTTP %d: %s", status, body)
+	}
+	before := computedCells()
+	status, body := post(t, ts.URL+"/v1/sweep", sweep)
+	if status != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d: %s", status, body)
+	}
+	checkCells("dynamic super", body)
+	if got := computedCells() - before; got != uint64(len(machines)-1) {
+		t.Errorf("sweep after a run computed %d cells, want %d (the machines missing from the LRU)", got, len(machines)-1)
+	}
+}
+
 // TestSweepCancellation cancels a sweep mid-flight and checks nothing
 // leaks: the handler returns, in-flight drops to zero, and the
 // goroutine count settles back to its pre-request level.
